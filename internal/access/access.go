@@ -322,6 +322,12 @@ func (h *Histogram) Clone() *Histogram {
 	return &Histogram{counts: append([]int64(nil), h.counts...), nonzero: h.nonzero}
 }
 
+// Dense returns the counts indexed by page id; pages at or past its length
+// are untouched. The slice is the histogram's own storage, not a copy —
+// treat it as read-only. Profilers scan it in place instead of paying for
+// Sorted's copy.
+func (h *Histogram) Dense() []int64 { return h.counts }
+
 // PageCount pairs a page with its access count.
 type PageCount struct {
 	Page  guest.PageID

@@ -143,15 +143,14 @@ func (p Pattern) ToHistogram() *access.Histogram {
 // address space; seed drives the deterministic sampling noise.
 func (c Config) Profile(truth *access.Histogram, totalPages int64, seed int64) Pattern {
 	rng := rand.New(rand.NewSource(seed))
-	counts := truth.Sorted()
-	if len(counts) == 0 {
+	if truth.Len() == 0 {
 		return Pattern{}
 	}
 
 	// Pass 1: chunk the touched address space into minimum-size granules,
 	// averaging counts within each granule (DAMON cannot see below its
 	// minimum region size).
-	granules := c.granulate(counts, totalPages)
+	granules := c.granulate(truth, totalPages)
 
 	// Pass 2: apply sampling noise per granule.
 	for i := range granules {
@@ -191,39 +190,41 @@ func (c Config) ProfileTraced(truth *access.Histogram, totalPages int64, seed in
 // regions are considered to have "similar access frequency" and are merged.
 const similarityThreshold = 0.2
 
-// granulate groups the sorted per-page counts into contiguous granules of at
-// least MinRegionPages pages, averaging counts within a granule. Pages never
+// granulate groups the touched pages into contiguous granules of at least
+// MinRegionPages pages, averaging counts within a granule. Pages never
 // touched are not reported (DAMON only tracks populated VMAs), but a touched
 // granule absorbs up to MinRegionPages-1 untouched neighbours, slightly
-// blurring the truth exactly like a real region-based monitor.
-func (c Config) granulate(counts []access.PageCount, totalPages int64) []RegionRecord {
-	var out []RegionRecord
-	i := 0
-	for i < len(counts) {
-		start := counts[i].Page
-		end := start + guest.PageID(c.MinRegionPages)
-		if int64(end) > totalPages {
-			end = guest.PageID(totalPages)
+// blurring the truth exactly like a real region-based monitor. Pages at or
+// past totalPages lie outside the monitored address space and are ignored.
+//
+// It scans the histogram's dense counts in place. Granule starts are at
+// least MinRegionPages apart, which bounds the output length up front.
+func (c Config) granulate(truth *access.Histogram, totalPages int64) []RegionRecord {
+	counts := truth.Dense()
+	n := min(int64(len(counts)), totalPages)
+	if n <= 0 {
+		return nil
+	}
+	out := make([]RegionRecord, 0, min(int64(truth.Len()), (n+c.MinRegionPages-1)/c.MinRegionPages))
+	for p := int64(0); p < n; p++ {
+		if counts[p] == 0 {
+			continue
 		}
+		end := min(p+c.MinRegionPages, totalPages)
 		var sum int64
-		j := i
-		for j < len(counts) && counts[j].Page < end {
-			sum += counts[j].Count
-			j++
+		for _, v := range counts[p:min(end, n)] {
+			sum += v
 		}
-		pages := int64(end - start)
-		if pages < 1 {
-			pages = 1
-		}
+		pages := end - p
 		avg := sum / pages
 		if avg < 1 && sum > 0 {
 			avg = 1 // a touched granule always samples at least one access
 		}
 		out = append(out, RegionRecord{
-			Region:     guest.Region{Start: start, Pages: pages},
+			Region:     guest.Region{Start: guest.PageID(p), Pages: pages},
 			NrAccesses: avg,
 		})
-		i = j
+		p = end - 1
 	}
 	return out
 }

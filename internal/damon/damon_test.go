@@ -1,6 +1,7 @@
 package damon
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -307,5 +308,83 @@ func TestUnifiedFoldOrderInsensitiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// granulateSorted is the materializing reference for granulate: it walks
+// the Sorted() copy of the histogram, as Profile did before it scanned the
+// dense counts in place.
+func (c Config) granulateSorted(counts []access.PageCount, totalPages int64) []RegionRecord {
+	var out []RegionRecord
+	i := 0
+	for i < len(counts) {
+		start := counts[i].Page
+		end := start + guest.PageID(c.MinRegionPages)
+		if int64(end) > totalPages {
+			end = guest.PageID(totalPages)
+		}
+		var sum int64
+		j := i
+		for j < len(counts) && counts[j].Page < end {
+			sum += counts[j].Count
+			j++
+		}
+		pages := int64(end - start)
+		if pages < 1 {
+			pages = 1
+		}
+		avg := sum / pages
+		if avg < 1 && sum > 0 {
+			avg = 1
+		}
+		out = append(out, RegionRecord{
+			Region:     guest.Region{Start: start, Pages: pages},
+			NrAccesses: avg,
+		})
+		i = j
+	}
+	return out
+}
+
+// TestGranulateMatchesSortedReference pins the in-place granulation to the
+// Sorted()-based reference on random small histograms, and checks that the
+// up-front size bound holds so the output never regrows.
+func TestGranulateMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 1000; trial++ {
+		c := DefaultConfig()
+		c.MinRegionPages = 1 + rng.Int63n(9)
+		total := 1 + rng.Int63n(200)
+		truth := access.NewHistogram()
+		for k := rng.Intn(60); k > 0; k-- {
+			// The reference loops forever on pages outside the monitored
+			// space, so the inputs stay inside it.
+			truth.Add(guest.PageID(rng.Int63n(total)), 1+rng.Int63n(500))
+		}
+		got := c.granulate(truth, total)
+		want := c.granulateSorted(truth.Sorted(), total)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d granules, want %d\ngot  %v\nwant %v", trial, len(got), len(want), got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: granule %d = %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
+		if bound := min(int64(truth.Len()), (total+c.MinRegionPages-1)/c.MinRegionPages); int64(len(got)) > bound {
+			t.Fatalf("trial %d: %d granules exceed the pre-size bound %d", trial, len(got), bound)
+		}
+	}
+}
+
+// TestGranulateIgnoresPagesOutsideGuest checks that touched pages at or past
+// totalPages are dropped instead of stalling the scan.
+func TestGranulateIgnoresPagesOutsideGuest(t *testing.T) {
+	truth := access.NewHistogram()
+	truth.Add(2, 40)
+	truth.Add(9, 40)
+	got := DefaultConfig().granulate(truth, 8)
+	if len(got) != 1 || got[0].Region != (guest.Region{Start: 2, Pages: 4}) || got[0].NrAccesses != 10 {
+		t.Errorf("granules = %+v, want one 4-page granule at 2 with 10 accesses", got)
 	}
 }

@@ -66,8 +66,12 @@ func ReadPattern(path string) (Pattern, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return Pattern{}, fmt.Errorf("%w: record count: %v", ErrCorrupt, err)
 	}
-	if n < 0 || n > 1<<30 {
-		return Pattern{}, fmt.Errorf("%w: implausible record count %d", ErrCorrupt, n)
+	left, err := recordsLeft(f, r, 24)
+	if err != nil {
+		return Pattern{}, err
+	}
+	if n < 0 || n > left {
+		return Pattern{}, fmt.Errorf("%w: record count %d, file holds at most %d", ErrCorrupt, n, left)
 	}
 	p := Pattern{Records: make([]RegionRecord, 0, n)}
 	for i := int64(0); i < n; i++ {
@@ -128,8 +132,12 @@ func ReadUnified(path string) (*Unified, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, fmt.Errorf("%w: entry count: %v", ErrCorrupt, err)
 	}
-	if n < 0 || n > 1<<32 {
-		return nil, fmt.Errorf("%w: implausible entry count %d", ErrCorrupt, n)
+	left, err := recordsLeft(f, r, 16)
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 || n > left {
+		return nil, fmt.Errorf("%w: entry count %d, file holds at most %d", ErrCorrupt, n, left)
 	}
 	u := NewUnified()
 	for i := int64(0); i < n; i++ {
@@ -140,6 +148,22 @@ func ReadUnified(path string) (*Unified, error) {
 		u.perPage.Add(guest.PageID(rec[0]), rec[1])
 	}
 	return u, nil
+}
+
+// recordsLeft returns how many whole size-byte records f still holds past
+// what r has consumed. Decoders check every count field against it before
+// sizing anything, so a corrupt length cannot demand more memory than the
+// file itself occupies.
+func recordsLeft(f *os.File, r *bufio.Reader, size int64) (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, err
+	}
+	return (st.Size() - pos + int64(r.Buffered())) / size, nil
 }
 
 func writeHeader(w io.Writer, magic uint64) error {

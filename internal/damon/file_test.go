@@ -1,8 +1,10 @@
 package damon
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"toss/internal/guest"
@@ -108,5 +110,39 @@ func TestReadUnifiedRejectsWrongMagic(t *testing.T) {
 	}
 	if _, err := ReadUnified(p); err == nil {
 		t.Error("pattern file accepted as unified")
+	}
+}
+
+// TestReadPatternBoundsHostileCounts rewrites the record count of a valid
+// pattern file: every count the file cannot hold — including ones far below
+// the old 1<<30 plausibility cap — must be rejected without allocating for
+// it. Modelled on snapshot's TestReadSingleBoundsHostileCounts.
+func TestReadPatternBoundsHostileCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.damon")
+	if err := WritePattern(path, Pattern{Records: []RegionRecord{
+		{Region: guest.Region{Start: 0, Pages: 4}, NrAccesses: 9},
+		{Region: guest.Region{Start: 8, Pages: 4}, NrAccesses: 3},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := os.ReadFile(path)
+	// The record count sits right after the 16-byte header.
+	const off = 16
+	for _, n := range []int64{3, 1 << 20, 1 << 29, 1 << 30, -1} {
+		hostile := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(hostile[off:], uint64(n))
+		if err := os.WriteFile(path, hostile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadPattern(path)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("count %d: reader allocated %d bytes", n, got)
+		}
+		if err == nil {
+			t.Errorf("hostile record count %d accepted", n)
+		}
 	}
 }

@@ -20,6 +20,7 @@ package microvm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"toss/internal/access"
 	"toss/internal/disk"
@@ -582,25 +583,30 @@ func setupSegID(name string) string {
 }
 
 // touch marks all pages of r resident and splits the newly-touched count
-// into pages with stored backing-file contents and zero-page holes.
+// into pages with stored backing-file contents and zero-page holes. It works
+// a 64-page word at a time: the fresh pages of a word are its mask minus the
+// resident bits, and the stored ones among them are those also set in stored.
 func (m *Machine) touch(r guest.Region) (newStored, newZero int64) {
-	for p := r.Start; p < r.End(); p++ {
-		if m.resident.get(p) {
+	if r.Empty() {
+		return 0, 0
+	}
+	var fresh, stored int64
+	res, st := m.resident.words, m.stored.words
+	first, last, head, tail := wordSpan(r)
+	for i := first; i <= last; i++ {
+		f := spanMask(i, first, last, head, tail) &^ res[i]
+		if f == 0 {
 			continue
 		}
-		m.resident.set(p)
-		if m.stored.words != nil && m.stored.get(p) {
-			newStored++
-		} else {
-			newZero++
+		res[i] |= f
+		fresh += int64(bits.OnesCount64(f))
+		if st != nil {
+			stored += int64(bits.OnesCount64(f & st[i]))
 		}
 	}
-	if m.stored.words == nil {
-		// No backing file at all (fresh boot / fully-resident machine):
-		// everything is an anonymous zero page.
-		return 0, newStored + newZero
-	}
-	return newStored, newZero
+	// Without a backing file (fresh boot / fully-resident machine) stored
+	// is empty, so everything is an anonymous zero page.
+	return stored, fresh - stored
 }
 
 // faultCost prices first touches of new pages of the given tier under event
@@ -680,7 +686,7 @@ func (m *Machine) SnapshotTraced(function string, parent *telemetry.Span, at sim
 	}, cost
 }
 
-// bitset tracks page residency.
+// bitset tracks page residency, 64 pages per word.
 type bitset struct {
 	words []uint64
 	n     int64
@@ -690,45 +696,67 @@ func newBitset(n int64) bitset {
 	return bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
-func (b bitset) get(p guest.PageID) bool {
-	return b.words[p/64]&(1<<(uint(p)%64)) != 0
+// wordSpan returns the first and last word indices covering the non-empty
+// region r and the masks selecting r's pages within those two words.
+func wordSpan(r guest.Region) (first, last int, head, tail uint64) {
+	lo, hi := uint64(r.Start), uint64(r.End()-1)
+	return int(lo / 64), int(hi / 64), ^uint64(0) << (lo % 64), ^uint64(0) >> (63 - hi%64)
 }
 
-func (b bitset) set(p guest.PageID) {
-	b.words[p/64] |= 1 << (uint(p) % 64)
+// spanMask returns the pages of word i that a wordSpan covers.
+func spanMask(i, first, last int, head, tail uint64) uint64 {
+	mask := ^uint64(0)
+	if i == first {
+		mask = head
+	}
+	if i == last {
+		mask &= tail
+	}
+	return mask
 }
 
 func (b bitset) setRange(r guest.Region) {
-	for p := r.Start; p < r.End(); p++ {
-		b.set(p)
+	if r.Empty() {
+		return
+	}
+	first, last, head, tail := wordSpan(r)
+	for i := first; i <= last; i++ {
+		b.words[i] |= spanMask(i, first, last, head, tail)
 	}
 }
 
-// setRangeCountingNew sets all pages in r and returns how many were newly set.
-func (b bitset) setRangeCountingNew(r guest.Region) int64 {
-	var fresh int64
-	for p := r.Start; p < r.End(); p++ {
-		if !b.get(p) {
-			b.set(p)
-			fresh++
-		}
-	}
-	return fresh
-}
-
-// regions returns the set bits as normalized guest regions.
+// regions returns the set bits as normalized guest regions, finding each
+// run's edges with trailing-zero counts instead of testing page by page.
 func (b bitset) regions() []guest.Region {
 	var out []guest.Region
-	var cur *guest.Region
-	for p := guest.PageID(0); p < guest.PageID(b.n); p++ {
-		if b.get(p) {
-			if cur != nil && cur.End() == p {
-				cur.Pages++
-				continue
-			}
-			out = append(out, guest.Region{Start: p, Pages: 1})
-			cur = &out[len(out)-1]
+	var start int64
+	open := false
+	for i, w := range b.words {
+		if i == len(b.words)-1 && b.n%64 != 0 {
+			w &= 1<<(b.n%64) - 1
 		}
+		base := int64(i) * 64
+		for bit := 0; bit < 64; {
+			// A run is open: look for its end (the next clear bit);
+			// otherwise look for the next run's start (the next set bit).
+			rest := w >> bit
+			if open {
+				rest = ^w >> bit
+			}
+			if rest == 0 {
+				break
+			}
+			bit += bits.TrailingZeros64(rest)
+			if open {
+				out = append(out, guest.Region{Start: guest.PageID(start), Pages: base + int64(bit) - start})
+			} else {
+				start = base + int64(bit)
+			}
+			open = !open
+		}
+	}
+	if open {
+		out = append(out, guest.Region{Start: guest.PageID(start), Pages: b.n - start})
 	}
 	return out
 }

@@ -342,18 +342,20 @@ func TestSnapshotCapturesResidentPages(t *testing.T) {
 
 func TestBitset(t *testing.T) {
 	b := newBitset(130)
-	if b.get(0) || b.get(129) {
-		t.Error("fresh bitset has bits set")
+	if regs := b.regions(); regs != nil {
+		t.Errorf("fresh bitset has regions %v", regs)
 	}
-	b.set(129)
-	if !b.get(129) {
-		t.Error("set bit not readable")
-	}
-	if n := b.setRangeCountingNew(guest.Region{Start: 128, Pages: 2}); n != 1 {
-		t.Errorf("setRangeCountingNew = %d, want 1", n)
-	}
+	b.setRange(guest.Region{Start: 129, Pages: 1})
+	b.setRange(guest.Region{Start: 128, Pages: 2})
+	b.setRange(guest.Region{Start: 3, Pages: 70})
 	regs := b.regions()
-	if len(regs) != 1 || regs[0] != (guest.Region{Start: 128, Pages: 2}) {
-		t.Errorf("regions = %v", regs)
+	want := []guest.Region{{Start: 3, Pages: 70}, {Start: 128, Pages: 2}}
+	if len(regs) != len(want) || regs[0] != want[0] || regs[1] != want[1] {
+		t.Errorf("regions = %v, want %v", regs, want)
+	}
+	// Bits past n in the last word are not pages: regions never reports them.
+	b.setRange(guest.Region{Start: 128, Pages: 5})
+	if regs := b.regions(); len(regs) != 2 || regs[1] != want[1] {
+		t.Errorf("regions after setting past n = %v, want %v", regs, want)
 	}
 }

@@ -1,9 +1,12 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
 
 	"toss/internal/guest"
@@ -68,9 +71,16 @@ func TestReadersNeverPanicOnMutatedFiles(t *testing.T) {
 		return out
 	}
 
+	// Map order is random; mutate the files in a fixed order so one seed
+	// always means the same mutations.
+	paths := make([]string, 0, len(originals))
+	for p := range originals {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
 	for round := 0; round < 300; round++ {
-		for path, data := range originals {
-			if err := os.WriteFile(path, mutate(data), 0o644); err != nil {
+		for _, path := range paths {
+			if err := os.WriteFile(path, mutate(originals[path]), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -101,5 +111,42 @@ func TestReadSingleBoundsHostileCounts(t *testing.T) {
 	}
 	if _, err := ReadSingle(path); err == nil {
 		t.Error("hostile page count accepted")
+	}
+}
+
+// allocatedBy returns the bytes the Go heap handed out while fn ran.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadWorkingSetBoundsHostileCounts rewrites the region count of a
+// valid working-set file: every count the file cannot hold — including
+// ones far below the old 1<<30 plausibility cap — must be rejected without
+// allocating for it.
+func TestReadWorkingSetBoundsHostileCounts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ws.toss")
+	if err := WriteWorkingSet(path, []guest.Region{{Start: 0, Pages: 4}, {Start: 10, Pages: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := os.ReadFile(path)
+	// The region count sits right after the 16-byte header.
+	const off = 16
+	for _, n := range []int64{3, 1 << 20, 1 << 29, 1 << 30, -1} {
+		hostile := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint64(hostile[off:], uint64(n))
+		if err := os.WriteFile(path, hostile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if got := allocatedBy(func() { _, err = ReadWorkingSet(path) }); got > 1<<20 {
+			t.Errorf("count %d: reader allocated %d bytes", n, got)
+		}
+		if err == nil {
+			t.Errorf("hostile region count %d accepted", n)
+		}
 	}
 }

@@ -76,15 +76,45 @@ type Memory struct {
 }
 
 // NewMemory captures an image for `function` covering the given resident
-// regions of a guest with guestPages total pages.
+// regions of a guest with guestPages total pages. The page digests equal
+// DigestFor's, but the function name is hashed once rather than per page,
+// and the normalized regions seed the ResidentRegions cache.
 func NewMemory(function string, guestPages int64, resident []guest.Region) *Memory {
-	m := &Memory{GuestPages: guestPages, Pages: make(map[guest.PageID]PageDigest)}
-	for _, r := range guest.NormalizeRegions(resident) {
+	regions := guest.NormalizeRegions(resident)
+	m := &Memory{GuestPages: guestPages, Pages: make(map[guest.PageID]PageDigest, guest.TotalPages(regions))}
+	fn := fnvString(fnvOffset64, function)
+	for _, r := range regions {
 		for p := r.Start; p < r.End(); p++ {
-			m.Pages[p] = DigestFor(function, p)
+			m.Pages[p] = fnvPage(fn, p)
 		}
 	}
+	m.regions, m.regionPages = regions, len(m.Pages)
 	return m
+}
+
+// fnv-64a, unrolled so NewMemory can fold the function name into the state
+// once and finish each page's digest from there.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// fnvPage finishes a DigestFor hash whose state h already covers the
+// function name: it folds in p's eight little-endian bytes.
+func fnvPage(h uint64, p guest.PageID) PageDigest {
+	v := uint64(p)
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
+	}
+	return PageDigest(h)
 }
 
 // ResidentRegions returns the stored pages as normalized regions.
@@ -161,7 +191,7 @@ func ReadSingle(path string) (*Single, error) {
 	if err := binary.Read(r, binary.LittleEndian, &s.VMStateBytes); err != nil {
 		return nil, fmt.Errorf("%w: vm state size: %v", ErrCorrupt, err)
 	}
-	if s.Memory, err = readMemory(r); err != nil {
+	if s.Memory, err = readMemory(f, r); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -507,8 +537,12 @@ func ReadWorkingSet(path string) ([]guest.Region, error) {
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, fmt.Errorf("%w: region count: %v", ErrCorrupt, err)
 	}
-	if n < 0 || n > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible region count %d", ErrCorrupt, n)
+	left, err := recordsLeft(f, r, 16)
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 || n > left {
+		return nil, fmt.Errorf("%w: region count %d, file holds at most %d", ErrCorrupt, n, left)
 	}
 	out := make([]guest.Region, 0, n)
 	for i := int64(0); i < n; i++ {
@@ -522,6 +556,22 @@ func ReadWorkingSet(path string) ([]guest.Region, error) {
 }
 
 // --- low-level helpers ---
+
+// recordsLeft returns how many whole size-byte records f still holds past
+// what r has consumed. Decoders check every count field against it before
+// sizing anything, so a corrupt length cannot demand more memory than the
+// file itself occupies.
+func recordsLeft(f *os.File, r *bufio.Reader, size int64) (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, err
+	}
+	return (st.Size() - pos + int64(r.Buffered())) / size, nil
+}
 
 func writeFile(path string, fill func(*bufio.Writer) error) error {
 	f, err := os.Create(path)
@@ -601,8 +651,8 @@ func writeMemory(w *bufio.Writer, m *Memory) error {
 	return nil
 }
 
-func readMemory(r *bufio.Reader) (*Memory, error) {
-	m := &Memory{Pages: make(map[guest.PageID]PageDigest)}
+func readMemory(f *os.File, r *bufio.Reader) (*Memory, error) {
+	m := &Memory{}
 	if err := binary.Read(r, binary.LittleEndian, &m.GuestPages); err != nil {
 		return nil, fmt.Errorf("%w: memory header: %v", ErrCorrupt, err)
 	}
@@ -613,6 +663,14 @@ func readMemory(r *bufio.Reader) (*Memory, error) {
 	if n < 0 || (m.GuestPages >= 0 && n > m.GuestPages) {
 		return nil, fmt.Errorf("%w: implausible page count %d for %d guest pages", ErrCorrupt, n, m.GuestPages)
 	}
+	left, err := recordsLeft(f, r, 16)
+	if err != nil {
+		return nil, err
+	}
+	if n > left {
+		return nil, fmt.Errorf("%w: page count %d, file holds at most %d", ErrCorrupt, n, left)
+	}
+	m.Pages = make(map[guest.PageID]PageDigest, n)
 	for i := int64(0); i < n; i++ {
 		var rec [2]uint64
 		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {

@@ -24,8 +24,10 @@ echo "== micro-benchmarks ==" >&2
 # migrations/s metric into the suite block as migrations_per_second.
 # AlertEngine drives the virtual-time alert engine over a mixed rule set;
 # benchjson hoists its evals/s metric as alerts_evaluations_per_second.
-go test -run='^$' -bench='TraceReplay|TraceCompile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine' -benchmem \
-    ./internal/microvm/ ./internal/workload/ ./internal/experiments/ ./internal/cluster/ ./internal/migrate/ ./internal/insight/ | tee "$tmp/bench.txt" >&2
+# RestoreRun times restore-then-replay per restore mode (the residency
+# bitset kernels); Profile times one DAMON profile of a Table I invocation.
+go test -run='^$' -bench='TraceReplay|RestoreRun|TraceCompile|Profile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine' -benchmem \
+    ./internal/microvm/ ./internal/damon/ ./internal/workload/ ./internal/experiments/ ./internal/cluster/ ./internal/migrate/ ./internal/insight/ | tee "$tmp/bench.txt" >&2
 
 echo "== suite wall-clock ==" >&2
 go build -o "$tmp/tossctl" ./cmd/tossctl
