@@ -21,10 +21,10 @@
 //
 // -xray <out.json> additionally collects every invocation's attribution
 // budget (internal/xray), prints each experiment's hottest segments, and
-// writes the aggregated per-experiment dump — the input to `tossctl diff`,
-// which compares two dumps (or two scripts/benchjson reports) and names the
-// segment that regressed. Attribution is parallel-safe: the dump is
-// byte-identical for any -parallel value.
+// writes the aggregated per-experiment dump — one of the inputs to
+// `tossctl report`, which compares two dumps and names the cell and segment
+// that regressed. Attribution is parallel-safe: the dump is byte-identical
+// for any -parallel value.
 //
 // -fleetlog <out.jsonl> collects the cluster experiments' fleet decision
 // traces (internal/fleetobs): every routing decision with its candidate
@@ -39,10 +39,10 @@
 // value: alerting replays each cell's recorded outcomes after the run, so
 // attaching it changes no decision (OBSERVABILITY.md).
 //
-// `tossctl report old new [old2 new2 ...] [-fail] [-html out]` is the
-// cross-run regression sentinel: it compares pairs of insight dumps, xray
+// `tossctl report [-threshold F] [-fail] [-html out] old new [old2 new2 ...]`
+// is the one run comparator: it compares pairs of insight dumps, xray
 // attribution dumps, or scripts/benchjson reports (formats auto-detected
-// per pair), prints a markdown verdict naming each regressed (cell, metric)
+// per file), prints a markdown verdict naming each regressed (cell, metric)
 // pair, and under -fail exits non-zero when anything regressed — the CI
 // gate form.
 package main
@@ -69,9 +69,6 @@ func main() {
 }
 
 func run() int {
-	if len(os.Args) > 1 && os.Args[1] == "diff" {
-		return runDiff(os.Args[2:])
-	}
 	if len(os.Args) > 1 && os.Args[1] == "report" {
 		return runReport(os.Args[2:])
 	}
@@ -86,7 +83,7 @@ func run() int {
 	faults := flag.String("faults", "", "JSON fault plan injected into every experiment (see FAULTS.md; forces -parallel 1)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment worker pool size (1 = serial; output is identical either way)")
 	clusterScale := flag.Float64("cluster-scale", 1, "scale for the long-horizon experiments: ext10's day (1 = full ~1.26M-invocation day; CI smoke uses 0.02) and ext11's migration epochs (CI smoke uses 0.25)")
-	xrayOut := flag.String("xray", "", "write per-experiment attribution budgets (JSON) to this `file`; compare runs with tossctl diff")
+	xrayOut := flag.String("xray", "", "write per-experiment attribution budgets (JSON) to this `file`; compare runs with tossctl report")
 	fleetLog := flag.String("fleetlog", "", "write the cluster experiments' fleet decision logs (JSON lines, one event per routing/scaling decision) to this `file`")
 	alerts := flag.String("alerts", "", "write the alert-wired experiments' (ext10, ext11) SLO alert log to this `file`")
 	insightOut := flag.String("insight", "", "write the insight dump (series + alerts per cell, JSON) to this `file`; compare runs with tossctl report")

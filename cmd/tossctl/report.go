@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"toss/internal/insight"
 	"toss/internal/xray"
@@ -14,11 +16,11 @@ import (
 //
 //	tossctl report [-threshold F] [-fail] [-html out] old new [old2 new2 ...]
 //
-// Each (old, new) pair is one artifact comparison; the format of each pair
-// is auto-detected from its old file — insight dumps (tossctl -insight),
-// attribution dumps (tossctl -xray), or benchmark reports
-// (scripts/benchjson). The verdict prints as markdown on stdout naming
-// every regressed (cell, metric) pair, -html additionally writes a
+// Each (old, new) pair is one artifact comparison; the format of each file
+// is auto-detected — insight dumps (tossctl -insight), attribution dumps
+// (tossctl -xray), or benchmark reports (scripts/benchjson) — and both
+// files of a pair must share it. The verdict prints as markdown on stdout
+// naming every regressed (cell, metric) pair, -html additionally writes a
 // self-contained page, and -fail turns any regression into exit status 1 —
 // the shape CI consumes. Two same-seed runs produce byte-identical
 // artifacts, so a clean pair always reports PASS.
@@ -78,64 +80,134 @@ func runReport(args []string) int {
 }
 
 // reportSection compares one (old, new) artifact pair into a verdict
-// section. The old file decides the pair's format; mixing formats inside a
-// pair is an error (the insight/xray readers reject the other's schema).
+// section. Each file's format is sniffed on its own; a pair must share one.
 func reportSection(oldPath, newPath string, threshold float64) (insight.Section, error) {
-	title := oldPath + " -> " + newPath
-	isInsight, err := probeInsight(oldPath)
+	oldArt, err := loadArtifactFile(oldPath)
 	if err != nil {
 		return insight.Section{}, err
 	}
-	if isInsight {
-		oldDump, err := insight.ReadDumpFile(oldPath)
-		if err != nil {
-			return insight.Section{}, err
-		}
-		newDump, err := insight.ReadDumpFile(newPath)
-		if err != nil {
-			return insight.Section{}, err
-		}
-		return insight.DiffDumps(title, oldDump, newDump, threshold)
-	}
-	// Attribution dumps and benchjson reports both load through the diff
-	// subcommand's RunDoc bridge; keep the report's kind label honest.
-	kind := "xray"
-	if probe, err := probeFile(oldPath); err == nil && probe.Experiments == nil && probe.Benchmarks != nil {
-		kind = "bench"
-	}
-	oldDoc, err := loadRunDoc(oldPath)
+	newArt, err := loadArtifactFile(newPath)
 	if err != nil {
 		return insight.Section{}, err
 	}
-	newDoc, err := loadRunDoc(newPath)
-	if err != nil {
-		return insight.Section{}, err
-	}
-	res, err := xray.Diff(oldDoc, newDoc, threshold)
-	if err != nil {
-		return insight.Section{}, err
-	}
-	return insight.SectionFromXRayDiff(title, kind, res), nil
+	return compareArtifacts(oldPath+" -> "+newPath, oldArt, newArt, threshold)
 }
 
-// probeFile reads just enough of a JSON artifact to classify it.
-func probeFile(path string) (docProbe, error) {
+// artifact is one decoded run file. kind names its format — "insight",
+// "xray", or "bench" — and selects which of the other fields is set.
+type artifact struct {
+	kind  string
+	dump  insight.Dump
+	doc   xray.RunDoc
+	bench map[[2]string]float64
+}
+
+// docProbe sniffs which artifact a JSON file is: attribution dumps carry
+// "experiments", benchjson reports carry "benchmarks", insight dumps
+// (tossctl -insight) carry "cells".
+type docProbe struct {
+	Experiments []json.RawMessage `json:"experiments"`
+	Benchmarks  []json.RawMessage `json:"benchmarks"`
+	Cells       []json.RawMessage `json:"cells"`
+}
+
+// loadArtifactFile reads and decodes one run file, naming it in errors.
+func loadArtifactFile(path string) (artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return docProbe{}, err
+		return artifact{}, err
 	}
-	var probe docProbe
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return docProbe{}, fmt.Errorf("%s: %w", path, err)
+	a, err := loadArtifact(data)
+	if err != nil {
+		return artifact{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return probe, nil
+	return a, nil
 }
 
-// probeInsight reports whether the file is an insight dump.
-func probeInsight(path string) (bool, error) {
-	probe, err := probeFile(path)
-	if err != nil {
-		return false, err
+// loadArtifact sniffs the format of one run file and decodes it.
+func loadArtifact(data []byte) (artifact, error) {
+	var probe docProbe
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return artifact{}, err
 	}
-	return probe.Cells != nil && probe.Experiments == nil && probe.Benchmarks == nil, nil
+	var a artifact
+	var err error
+	switch {
+	case probe.Cells != nil && probe.Experiments == nil && probe.Benchmarks == nil:
+		a.kind = "insight"
+		a.dump, err = insight.ReadDump(bytes.NewReader(data))
+	case probe.Experiments == nil && probe.Benchmarks != nil:
+		a.kind = "bench"
+		a.bench, err = indexBench(data)
+	default:
+		a.kind = "xray"
+		a.doc, err = xray.ReadJSON(bytes.NewReader(data))
+	}
+	return a, err
+}
+
+// compareArtifacts hands a decoded pair to the verdict's diff engine.
+func compareArtifacts(title string, old, new artifact, threshold float64) (insight.Section, error) {
+	if old.kind != new.kind {
+		return insight.Section{}, fmt.Errorf("%s: format mismatch: old is %s, new is %s", title, old.kind, new.kind)
+	}
+	switch old.kind {
+	case "insight":
+		return insight.DiffDumps(title, old.dump, new.dump, threshold)
+	case "xray":
+		return insight.DiffRunDocs(title, old.doc, new.doc, threshold)
+	default:
+		return insight.DiffCells(title, "bench", old.bench, new.bench, threshold)
+	}
+}
+
+// indexBench reads a scripts/benchjson report into one ("pkg/Benchmark",
+// "ns/op") cell per benchmark. The report's schema version is not checked,
+// so reports written before benchjson stamped versions still compare.
+func indexBench(data []byte) (map[[2]string]float64, error) {
+	var doc struct {
+		Benchmarks []struct {
+			Name    string  `json:"name"`
+			Package string  `json:"package"`
+			NsPerOp float64 `json:"ns_per_op"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, err
+	}
+	names := make([]string, len(doc.Benchmarks))
+	for i, b := range doc.Benchmarks {
+		names[i] = b.Name
+	}
+	procs := procsSuffix(names)
+	m := make(map[[2]string]float64, len(doc.Benchmarks))
+	for _, b := range doc.Benchmarks {
+		pkg := b.Package
+		if pkg == "" {
+			pkg = "bench"
+		}
+		m[[2]string{pkg + "/" + strings.TrimSuffix(b.Name, procs), "ns/op"}] = b.NsPerOp
+	}
+	return m, nil
+}
+
+// procsSuffix returns the "-N" suffix `go test` appends to every benchmark
+// name when GOMAXPROCS is above 1, so reports taken at different widths
+// compare. It returns "" unless every name ends in the same "-N", so a
+// sub-benchmark such as "size-64" recorded at GOMAXPROCS=1 keeps its name.
+func procsSuffix(names []string) string {
+	if len(names) == 0 {
+		return ""
+	}
+	i := strings.LastIndexByte(names[0], '-')
+	if i < 0 || i == len(names[0])-1 || strings.Trim(names[0][i+1:], "0123456789") != "" {
+		return ""
+	}
+	suffix := names[0][i:]
+	for _, n := range names[1:] {
+		if !strings.HasSuffix(n, suffix) {
+			return ""
+		}
+	}
+	return suffix
 }

@@ -83,7 +83,7 @@ type Config struct {
 	XRay *xray.Collector
 	// XRayTag, when non-empty, suffixes every budget label so dumps from
 	// different fleet shapes (node count, policy, arrival process) diff as
-	// distinct cells in tossctl diff.
+	// distinct cells in tossctl report.
 	XRayTag string
 	// FleetObs, when set, receives the run's decision trace — every
 	// routing decision with its candidate ranking, every autoscaler

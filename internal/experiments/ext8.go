@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"toss/internal/core"
 	"toss/internal/fault"
@@ -10,6 +9,7 @@ import (
 	"toss/internal/par"
 	"toss/internal/platform"
 	"toss/internal/simtime"
+	"toss/internal/stats"
 	"toss/internal/workload"
 )
 
@@ -140,8 +140,8 @@ func ExtFaultTolerance(s *Suite) (*Table, error) {
 			}
 			res.retries += rec.Retries
 		}
-		res.p50 = percentileMS(lats, 50)
-		res.p99 = percentileMS(lats, 99)
+		res.p50 = stats.NearestRankInPlace(lats, 50).Milliseconds()
+		res.p99 = stats.NearestRankInPlace(lats, 99).Milliseconds()
 		if total := fastTouches + slowTouches; total > 0 {
 			res.fastHit = float64(fastTouches) / float64(total) * 100
 		}
@@ -181,15 +181,4 @@ func ExtFaultTolerance(s *Suite) (*Table, error) {
 	t.AddNote("DRAM's fast-hit is 100%% by construction (all pages in DRAM); TOSS trades fast-tier hits for memory cost")
 	t.AddNote("identical plans per rate: same seed and per-site rates across modes; see FAULTS.md for sites and policies")
 	return t, nil
-}
-
-// percentileMS returns the p-th percentile of ds in milliseconds.
-func percentileMS(ds []simtime.Duration, p float64) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]simtime.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx].Milliseconds()
 }

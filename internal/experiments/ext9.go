@@ -200,7 +200,7 @@ func ExtClusterScaling(s *Suite) (*Table, error) {
 	// baseConfig wires one cell's fleet. With an attribution collector on
 	// the suite (tossctl -xray), every cluster invocation's budget carries
 	// the cell's identity — node count, policy, arrival process, mechanism
-	// — in its label tag, so `tossctl diff` names the exact cell a cluster
+	// — in its label tag, so `tossctl report` names the exact cell a cluster
 	// regression lives in.
 	baseConfig := func(hosts []fleet.HostSpec, c cell, mech string) cluster.Config {
 		return cluster.Config{

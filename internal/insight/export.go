@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -220,14 +219,4 @@ func ReadDump(r io.Reader) (Dump, error) {
 		d.Cells = append(d.Cells, res)
 	}
 	return d, nil
-}
-
-// ReadDumpFile loads an insight dump from disk.
-func ReadDumpFile(path string) (Dump, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Dump{}, err
-	}
-	defer f.Close()
-	return ReadDump(f)
 }

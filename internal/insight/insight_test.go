@@ -413,6 +413,23 @@ func TestVerdictSchemaMismatch(t *testing.T) {
 	}
 }
 
+// TestDiffCellsDisjointIsError pins that a pair sharing no cell cannot
+// pass: comparing nothing is an error, while one empty side is not.
+func TestDiffCellsDisjointIsError(t *testing.T) {
+	a := map[[2]string]float64{{"pkg/BenchmarkX-2", "ns/op"}: 10}
+	b := map[[2]string]float64{{"pkg/BenchmarkX-4", "ns/op"}: 10}
+	if _, err := DiffCells("t", "bench", a, b, 0.25); err == nil {
+		t.Fatal("disjoint pair must error")
+	}
+	sec, err := DiffCells("t", "bench", a, nil, 0.25)
+	if err != nil {
+		t.Fatalf("one empty side: %v", err)
+	}
+	if len(sec.OnlyOld) != 1 || sec.Compared != 0 {
+		t.Fatalf("one empty side: %+v", sec)
+	}
+}
+
 func BenchmarkAlertEngine(b *testing.B) {
 	rules := []Rule{
 		BurnRule("slo", "lat", 100*simtime.Millisecond, 5*simtime.Second, 60*simtime.Second, 0.1, 0.05),

@@ -13,7 +13,9 @@ import (
 
 // The regression sentinel: compare two runs' exported artifacts cell by
 // cell and render a machine-checked verdict. `tossctl report` feeds it
-// pairs of insight dumps, xray attribution dumps, and benchjson reports.
+// pairs of insight dumps, xray attribution dumps, and benchjson reports;
+// every format is indexed into (cell, metric) -> value and compared by
+// DiffCells, the one place that decides how two runs differ.
 
 // noiseFloor is the absolute magnitude below which two values are treated
 // as equal: sub-nano series values and empty counters flap at 100% relative
@@ -32,7 +34,7 @@ type VerdictRow struct {
 }
 
 // Delta returns the relative change (new-old)/old; growth from a zero
-// baseline reports as 1 (100%), matching xray.DiffEntry.
+// baseline reports as 1 (100%).
 func (r VerdictRow) Delta() float64 {
 	if r.Old == 0 {
 		if r.New == 0 {
@@ -95,8 +97,12 @@ func sortRows(rows []VerdictRow) {
 	})
 }
 
-// diffCells compares two keyed value maps into a Section body.
-func diffCells(sec *Section, threshold float64, old, new map[[2]string]float64) {
+// DiffCells compares two runs' (cell, metric) -> value indexes into one
+// verdict section: the single cell-diff engine behind every artifact format
+// `tossctl report` reads. When both runs have cells but share none, nothing
+// was compared, and that is an error rather than a vacuous pass.
+func DiffCells(title, kind string, old, new map[[2]string]float64, threshold float64) (Section, error) {
+	sec := Section{Title: title, Kind: kind}
 	for k, ov := range old {
 		nv, ok := new[k]
 		if !ok {
@@ -115,6 +121,10 @@ func diffCells(sec *Section, threshold float64, old, new map[[2]string]float64) 
 			sec.Improvements = append(sec.Improvements, row)
 		}
 	}
+	if sec.Compared == 0 && len(old) > 0 && len(new) > 0 {
+		return Section{}, fmt.Errorf("%s: %s runs share no (cell, metric) pair: %d old, %d new",
+			title, kind, len(old), len(new))
+	}
 	for k := range new {
 		if _, ok := old[k]; !ok {
 			sec.OnlyNew = append(sec.OnlyNew, k[0]+" / "+k[1])
@@ -124,6 +134,7 @@ func diffCells(sec *Section, threshold float64, old, new map[[2]string]float64) 
 	sortRows(sec.Improvements)
 	sort.Strings(sec.OnlyOld)
 	sort.Strings(sec.OnlyNew)
+	return sec, nil
 }
 
 // indexDump flattens an insight dump into (cell, metric) -> value: each
@@ -157,35 +168,44 @@ func DiffDumps(title string, old, new Dump, threshold float64) (Section, error) 
 	if old.Schema != new.Schema {
 		return Section{}, fmt.Errorf("insight: schema mismatch: %d vs %d", old.Schema, new.Schema)
 	}
-	sec := Section{Title: title, Kind: "insight"}
-	diffCells(&sec, threshold, indexDump(old), indexDump(new))
-	return sec, nil
+	return DiffCells(title, "insight", indexDump(old), indexDump(new), threshold)
 }
 
-// SectionFromXRayDiff adapts an xray attribution diff (also used for
-// benchjson reports via tossctl's bench-to-RunDoc bridge) into a verdict
-// section, preserving xray's cluster-cell label rendering.
-func SectionFromXRayDiff(title, kind string, res *xray.DiffResult) Section {
-	sec := Section{Title: title, Kind: kind, Compared: res.Compared}
-	conv := func(entries []xray.DiffEntry) []VerdictRow {
-		rows := make([]VerdictRow, 0, len(entries))
-		for _, e := range entries {
-			cell := e.Experiment + "/" + e.Label
-			if bare, tag, ok := xray.SplitClusterLabel(e.Label); ok {
-				cell = e.Experiment + "/" + bare
+// indexRunDoc flattens an xray attribution dump into (cell, metric) -> mean
+// attributed nanoseconds per record, which normalizes out record-count
+// differences between runs. The cell is "experiment/label"; labels minted
+// by the cluster simulator render as "experiment/fn@node [cell-tag]" so a
+// regression names the swept fleet cell it lives in.
+func indexRunDoc(doc xray.RunDoc) map[[2]string]float64 {
+	m := make(map[[2]string]float64)
+	for _, r := range doc.Reports {
+		for _, fr := range r.Functions {
+			if fr.Records <= 0 {
+				continue
+			}
+			cell := r.Experiment + "/" + fr.Label
+			if bare, tag, ok := xray.SplitClusterLabel(fr.Label); ok {
+				cell = r.Experiment + "/" + bare
 				if tag != "" {
 					cell += " [" + tag + "]"
 				}
 			}
-			rows = append(rows, VerdictRow{Cell: cell, Metric: "segment " + e.Segment + " ns/record", Old: e.OldNs, New: e.NewNs})
+			for _, s := range fr.Segments {
+				m[[2]string{cell, "segment " + s.ID + " ns/record"}] = float64(s.Total.Nanoseconds()) / float64(fr.Records)
+			}
 		}
-		return rows
 	}
-	sec.Regressions = conv(res.Regressions)
-	sec.Improvements = conv(res.Improvements)
-	sec.OnlyOld = append(sec.OnlyOld, res.OnlyOld...)
-	sec.OnlyNew = append(sec.OnlyNew, res.OnlyNew...)
-	return sec
+	return m
+}
+
+// DiffRunDocs compares two xray attribution dumps (`tossctl -xray`) cell by
+// cell at the given relative threshold. Same-seed runs produce identical
+// dumps and therefore an empty section.
+func DiffRunDocs(title string, old, new xray.RunDoc, threshold float64) (Section, error) {
+	if old.Schema != new.Schema {
+		return Section{}, fmt.Errorf("xray: schema mismatch: %d vs %d", old.Schema, new.Schema)
+	}
+	return DiffCells(title, "xray", indexRunDoc(old), indexRunDoc(new), threshold)
 }
 
 // verdictLine is the one-line summary shared by both renderers.

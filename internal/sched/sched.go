@@ -16,7 +16,6 @@ package sched
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"toss/internal/core"
 	"toss/internal/fault"
@@ -24,6 +23,7 @@ import (
 	"toss/internal/obs"
 	"toss/internal/predict"
 	"toss/internal/simtime"
+	"toss/internal/stats"
 	"toss/internal/telemetry"
 	"toss/internal/trace"
 	"toss/internal/xray"
@@ -219,18 +219,14 @@ func (r *Report) ColdFraction() float64 {
 	return float64(cold) / float64(len(r.Records))
 }
 
-// LatencyPercentile returns the p-th percentile end-to-end latency.
+// LatencyPercentile returns the p-th percentile end-to-end latency
+// (nearest-rank convention).
 func (r *Report) LatencyPercentile(p float64) simtime.Duration {
-	if len(r.Records) == 0 {
-		return 0
-	}
 	ls := make([]simtime.Duration, len(r.Records))
 	for i, rec := range r.Records {
 		ls[i] = rec.Latency()
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	idx := int(p / 100 * float64(len(ls)-1))
-	return ls[idx]
+	return stats.NearestRankInPlace(ls, p)
 }
 
 // MeanLatency returns the average end-to-end latency.

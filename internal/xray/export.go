@@ -11,12 +11,12 @@ import (
 	"toss/internal/simtime"
 )
 
-// SchemaVersion identifies the attribution dump format. Diffing refuses to
-// compare documents with mismatched schema versions.
+// SchemaVersion identifies the attribution dump format. `tossctl report`
+// refuses to compare documents with mismatched schema versions.
 const SchemaVersion = 1
 
 // RunDoc is one run's attribution dump: per-experiment reports in run order.
-// `tossctl -xray out.json` writes one; `tossctl diff` compares two.
+// `tossctl -xray out.json` writes one; `tossctl report` compares two.
 type RunDoc struct {
 	Schema  int
 	Reports []*Report

@@ -86,9 +86,9 @@ go run ./scripts/benchjson -serial "$serial" -parallel "$par" -workers "$workers
     -ext8 "$ext8" -fleetobs "$fleetobs" -insight "$insight" "${ext_flags[@]}" < "$tmp/bench.txt" > "$out"
 echo "wrote $out" >&2
 
-# Run-to-run regression diff against the checked-in baseline: warn-only (CI
-# machines vary); pass -fail in a gating context.
+# Run-to-run regression report against the checked-in baseline: warn-only
+# (CI machines vary); pass -fail in a gating context.
 if [ -f BENCH_experiments.json ] && [ "$out" != BENCH_experiments.json ]; then
-    echo "== diff vs checked-in baseline (warn-only, 25% threshold) ==" >&2
-    "$tmp/tossctl" diff BENCH_experiments.json "$out" >&2 || true
+    echo "== report vs checked-in baseline (warn-only, 25% threshold) ==" >&2
+    "$tmp/tossctl" report BENCH_experiments.json "$out" >&2 || true
 fi

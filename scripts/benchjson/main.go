@@ -33,9 +33,9 @@ type Benchmark struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// SchemaVersion stamps the report format; `tossctl diff` refuses to compare
-// mismatched schemas (reports written before versioning read as 0 and are
-// normalized on load).
+// SchemaVersion stamps the report format. `tossctl report` compares
+// reports by benchmark name and ns/op whatever their version, so reports
+// written before versioning (which read as 0) still compare.
 const SchemaVersion = 1
 
 // Suite records the end-to-end `tossctl all` wall-clock comparison.
