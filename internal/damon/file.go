@@ -79,8 +79,8 @@ func ReadPattern(path string) (Pattern, error) {
 		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
 			return Pattern{}, fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err)
 		}
-		if rec[1] <= 0 {
-			return Pattern{}, fmt.Errorf("%w: record %d has %d pages", ErrCorrupt, i, rec[1])
+		if rec[0] < 0 || rec[1] <= 0 {
+			return Pattern{}, fmt.Errorf("%w: record %d starts at page %d with %d pages", ErrCorrupt, i, rec[0], rec[1])
 		}
 		p.Records = append(p.Records, RegionRecord{
 			Region:     guest.Region{Start: guest.PageID(rec[0]), Pages: rec[1]},
@@ -117,7 +117,8 @@ func WriteUnified(path string, u *Unified) error {
 	return err
 }
 
-// ReadUnified deserializes a unified pattern file.
+// ReadUnified deserializes a unified pattern file. Page ids must be
+// non-negative and strictly ascending, the order WriteUnified writes.
 func ReadUnified(path string) (*Unified, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -140,11 +141,16 @@ func ReadUnified(path string) (*Unified, error) {
 		return nil, fmt.Errorf("%w: entry count %d, file holds at most %d", ErrCorrupt, n, left)
 	}
 	u := NewUnified()
+	prev := int64(-1)
 	for i := int64(0); i < n; i++ {
 		var rec [2]int64
 		if err := binary.Read(r, binary.LittleEndian, &rec); err != nil {
 			return nil, fmt.Errorf("%w: entry %d: %v", ErrCorrupt, i, err)
 		}
+		if rec[0] <= prev {
+			return nil, fmt.Errorf("%w: entry %d names page %d after %d", ErrCorrupt, i, rec[0], prev)
+		}
+		prev = rec[0]
 		u.perPage.Add(guest.PageID(rec[0]), rec[1])
 	}
 	return u, nil

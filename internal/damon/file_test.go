@@ -2,6 +2,7 @@ package damon
 
 import (
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -144,5 +145,43 @@ func TestReadPatternBoundsHostileCounts(t *testing.T) {
 		if err == nil {
 			t.Errorf("hostile record count %d accepted", n)
 		}
+	}
+}
+
+// TestReadersRejectHostileRecords: a negative page id, or unified page ids
+// out of ascending order, must come back as ErrCorrupt instead of indexing
+// the histogram out of range.
+func TestReadersRejectHostileRecords(t *testing.T) {
+	dir := t.TempDir()
+	// file writes a header, a record count and the records.
+	file := func(name string, magic uint64, recs ...[]int64) string {
+		buf := binary.LittleEndian.AppendUint64(nil, magic)
+		buf = binary.LittleEndian.AppendUint64(buf, fileVersion)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(recs)))
+		for _, rec := range recs {
+			for _, v := range rec {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			}
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for name, recs := range map[string][][]int64{
+		"negative":   {{-1, 5}}, // the 40-byte file that used to panic
+		"descending": {{7, 1}, {3, 1}},
+		"duplicate":  {{3, 1}, {3, 1}},
+	} {
+		if _, err := ReadUnified(file(name, magicUnified, recs...)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("unified %s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, err := ReadUnified(file("ascending", magicUnified, []int64{0, 1}, []int64{9, 2})); err != nil {
+		t.Errorf("ascending unified rejected: %v", err)
+	}
+	if _, err := ReadPattern(file("pattern", magicPattern, []int64{-4, 4, 1})); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("pattern with negative start: err = %v, want ErrCorrupt", err)
 	}
 }

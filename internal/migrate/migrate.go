@@ -18,17 +18,18 @@
 //
 // Determinism: the engine is a pure function of (config, seed, the Touch and
 // Tick sequence). Heat ties in the packing order are broken by a splitmix64
-// hash of (seed, extent) — stable across epochs so equal-heat extents do not
-// churn — and every iteration order is explicit, so the migration log is
-// byte-identical for a given seed at any caller parallelism (pinned by the
-// serial-vs-parallel log-checksum tests).
+// hash of (seed, extent), computed once per extent in New — stable across
+// epochs so equal-heat extents do not churn — and then by extent index, so
+// every order is total and every iteration order is explicit: the migration
+// log is byte-identical for a given seed at any caller parallelism (pinned
+// by the serial-vs-parallel log-checksum tests).
 package migrate
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"toss/internal/guest"
 	"toss/internal/mem"
@@ -245,6 +246,7 @@ type Engine struct {
 
 	heat      []float64 // EWMA per extent
 	pending   []float64 // heat accumulated since the last Tick
+	jit       []uint64  // tie-break hash per extent, fixed by New
 	level     []uint8   // current hierarchy level per extent
 	movedAt   []int32   // epoch of the extent's last move (hysteresis)
 	readyAt   []simtime.Duration
@@ -259,8 +261,26 @@ type Engine struct {
 	Metrics *telemetry.Metrics
 
 	// scratch buffers reused across Ticks.
-	order   []int
-	desired []uint8
+	cand     []keyed
+	promoted []int
+	assigned []bool
+	desired  []uint8
+	victims  []victimQueue // per level
+}
+
+// keyed is one extent with its sort key; hotter orders them.
+type keyed struct {
+	key float64
+	jit uint64
+	i   int
+}
+
+// victimQueue is one level's coldest-first eviction candidates, built at
+// the level's first eviction in epoch `epoch` and consumed from `next`.
+type victimQueue struct {
+	q     []keyed
+	epoch int32
+	next  int
 }
 
 // New builds an engine over a guest of totalPages pages with every extent at
@@ -274,21 +294,27 @@ func New(cfg Config, totalPages int64) (*Engine, error) {
 		return nil, fmt.Errorf("migrate: non-positive guest size %d", totalPages)
 	}
 	n := int((totalPages + cfg.ExtentPages - 1) / cfg.ExtentPages)
+	levels := cfg.Hierarchy.Levels()
 	e := &Engine{
 		cfg:        cfg,
 		totalPages: totalPages,
 		nExt:       n,
 		heat:       make([]float64, n),
 		pending:    make([]float64, n),
+		jit:        make([]uint64, n),
 		level:      make([]uint8, n),
 		movedAt:    make([]int32, n),
 		readyAt:    make([]simtime.Duration, n),
-		occupancy:  make([]int64, cfg.Hierarchy.Levels()),
+		occupancy:  make([]int64, levels),
+		assigned:   make([]bool, n),
+		desired:    make([]uint8, n),
+		victims:    make([]victimQueue, levels),
 	}
 	bottom := uint8(cfg.Hierarchy.Bottom())
 	for i := range e.level {
 		e.level[i] = bottom
 		e.movedAt[i] = -1 << 30
+		e.jit[i] = e.jitter(i)
 	}
 	e.occupancy[bottom] = totalPages
 	return e, nil
@@ -451,20 +477,70 @@ func (e *Engine) jitter(extent int) uint64 {
 	return x ^ (x >> 31)
 }
 
-// less orders extents by (heat desc, jitter, index) given a heat vector.
-func (e *Engine) hotterFirst(order []int, heatOf func(int) float64) {
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		hi, hj := heatOf(i), heatOf(j)
-		if hi != hj {
-			return hi > hj
+// hotter orders keyed entries by key descending, then jitter, then index: a
+// total order, so no result depends on the sort algorithm.
+func hotter(a, b keyed) int {
+	switch {
+	case a.key > b.key:
+		return -1
+	case a.key < b.key:
+		return 1
+	case a.jit != b.jit:
+		if a.jit < b.jit {
+			return -1
 		}
-		ji, jj := e.jitter(i), e.jitter(j)
-		if ji != jj {
-			return ji < jj
+		return 1
+	}
+	return a.i - b.i
+}
+
+// hottest sorts the first k entries of s in hotter order, leaving s[k:]
+// unordered, and returns s[:k]: a quickselect narrows the k-th boundary,
+// then only the prefix is sorted.
+func hottest(s []keyed, k int) []keyed {
+	if k >= len(s) {
+		slices.SortFunc(s, hotter)
+		return s
+	}
+	lo, hi := 0, len(s) // the k-th boundary lies in s[lo:hi]
+	for hi-lo > 12 {
+		p := lo + partition(s[lo:hi])
+		switch {
+		case p > k:
+			hi = p
+		case p < k-1:
+			lo = p + 1
+		default: // s[:k] holds the k hottest
+			lo = hi
 		}
-		return i < j
-	})
+	}
+	slices.SortFunc(s[lo:hi], hotter)
+	slices.SortFunc(s[:k], hotter)
+	return s[:k]
+}
+
+// partition places s's median-of-three pivot at its sorted position p, with
+// every hotter entry before it and every colder one after, and returns p.
+func partition(s []keyed) int {
+	m, last := len(s)/2, len(s)-1
+	if hotter(s[m], s[0]) < 0 {
+		s[m], s[0] = s[0], s[m]
+	}
+	if hotter(s[last], s[0]) < 0 {
+		s[last], s[0] = s[0], s[last]
+	}
+	if hotter(s[m], s[last]) < 0 {
+		s[m], s[last] = s[last], s[m]
+	}
+	p := 0
+	for j := 0; j < last; j++ {
+		if hotter(s[j], s[last]) < 0 {
+			s[p], s[j] = s[j], s[p]
+			p++
+		}
+	}
+	s[p], s[last] = s[last], s[p]
+	return p
 }
 
 // Tick ends the current epoch at virtual time `now`: folds pending heat into
@@ -549,42 +625,45 @@ func (e *Engine) Tick(now simtime.Duration) []Event {
 	// down, coldest first, so reclamation frees capacity before promotions
 	// need it.
 	if e.cfg.Policy == PolicyFull || oracle {
-		e.order = e.order[:0]
+		cand := e.cand[:0]
 		for i := 0; i < e.nExt; i++ {
 			if int(desired[i]) > int(e.level[i]) && cooled(i) {
-				e.order = append(e.order, i)
+				cand = append(cand, keyed{-e.heat[i], e.jit[i], i}) // coldest first
 			}
 		}
-		e.hotterFirst(e.order, func(i int) float64 { return -e.heat[i] }) // coldest first
-		for _, i := range e.order {
+		slices.SortFunc(cand, hotter)
+		for _, c := range cand {
 			if !budgetLeft() {
 				break
 			}
-			exec(i, roomAt(int(desired[i]), e.ExtentRegion(i).Pages), ReasonDemote)
+			exec(c.i, roomAt(int(desired[c.i]), e.ExtentRegion(c.i).Pages), ReasonDemote)
 		}
+		e.cand = cand
 	}
 
 	// Promotions, hottest first. A full target tier evicts its coldest
 	// incumbent one level down (cascading past full tiers) to make room.
-	e.order = e.order[:0]
+	cand := e.cand[:0]
 	for i := 0; i < e.nExt; i++ {
 		if int(desired[i]) < int(e.level[i]) && cooled(i) {
-			e.order = append(e.order, i)
+			cand = append(cand, keyed{e.heat[i], e.jit[i], i})
 		}
 	}
-	e.hotterFirst(e.order, func(i int) float64 { return e.heat[i] })
-	promoted := e.order[:0:0]
-	for _, i := range e.order {
+	slices.SortFunc(cand, hotter)
+	e.cand = cand
+	promoted := e.promoted[:0]
+	for _, c := range cand {
 		if !budgetLeft() {
 			break
 		}
-		target := int(desired[i])
-		if !e.makeRoom(target, e.ExtentRegion(i).Pages, exec, roomAt, budgetLeft) {
+		target := int(desired[c.i])
+		if !e.makeRoom(target, e.ExtentRegion(c.i).Pages, exec, roomAt, budgetLeft) {
 			continue
 		}
-		exec(i, target, ReasonPromote)
-		promoted = append(promoted, i)
+		exec(c.i, target, ReasonPromote)
+		promoted = append(promoted, c.i)
 	}
+	e.promoted = promoted
 
 	// Prefetch-on-promote: pull each promoted extent's address-space
 	// successors to the same level — sequential access means they are the
@@ -641,16 +720,7 @@ func (e *Engine) makeRoom(target int, pages int64,
 		if !budgetLeft() {
 			return false
 		}
-		victim := -1
-		for i := 0; i < e.nExt; i++ {
-			if int(e.level[i]) != target || e.movedAt[i] == e.epoch {
-				continue
-			}
-			if victim < 0 || e.heat[i] < e.heat[victim] ||
-				(e.heat[i] == e.heat[victim] && e.jitter(i) < e.jitter(victim)) {
-				victim = i
-			}
-		}
+		victim := e.coldest(target)
 		if victim < 0 {
 			return false // nothing evictable (everything moved this epoch)
 		}
@@ -659,48 +729,71 @@ func (e *Engine) makeRoom(target int, pages int64,
 	return true
 }
 
+// coldest returns the coldest (heat, jitter, index) extent at level that has
+// not moved this epoch, or -1. Heat is fixed for the rest of a Tick and
+// every move stamps movedAt, so the candidates only drop out: the level's
+// queue is sorted once, at its first eviction in the Tick, and a cursor
+// skips the entries that have moved since.
+func (e *Engine) coldest(level int) int {
+	v := &e.victims[level]
+	if v.epoch != e.epoch {
+		v.q, v.epoch, v.next = v.q[:0], e.epoch, 0
+		for i := 0; i < e.nExt; i++ {
+			if int(e.level[i]) == level && e.movedAt[i] != e.epoch {
+				v.q = append(v.q, keyed{-e.heat[i], e.jit[i], i})
+			}
+		}
+		slices.SortFunc(v.q, hotter)
+	}
+	for ; v.next < len(v.q); v.next++ {
+		if i := v.q[v.next].i; e.movedAt[i] != e.epoch {
+			return i
+		}
+	}
+	return -1
+}
+
 // packDesired greedily assigns extents to tiers by heat under the capacity
 // vector. Unless `oracle`, incumbents of a tier compete with their heat
 // multiplied by PromoteMargin — the hysteresis that keeps near-ties from
 // churning.
+//
+// Cold extents never deserve a bounded tier: zero heat stays at the bottom
+// so empty capacity is not filled with garbage. They are left out of the
+// candidates, which is exact — a non-positive heat scores below every
+// positive one, and the greedy fill stops at the first extent that does not
+// fit.
 func (e *Engine) packDesired(oracle bool) []uint8 {
-	if cap(e.desired) < e.nExt {
-		e.desired = make([]uint8, e.nExt)
-	}
-	desired := e.desired[:e.nExt]
+	desired, assigned := e.desired, e.assigned
 	bottom := uint8(e.cfg.Hierarchy.Bottom())
 	for i := range desired {
 		desired[i] = bottom
+		assigned[i] = false
 	}
-	assigned := make([]bool, e.nExt)
-	order := make([]int, e.nExt)
 	for l := 0; l < e.cfg.Hierarchy.Levels()-1; l++ {
-		order = order[:0]
+		cand := e.cand[:0]
 		for i := 0; i < e.nExt; i++ {
-			if !assigned[i] {
-				order = append(order, i)
+			if assigned[i] || e.heat[i] <= 0 {
+				continue
 			}
-		}
-		score := func(i int) float64 {
+			score := e.heat[i]
 			if !oracle && int(e.level[i]) == l {
-				return e.heat[i] * e.cfg.PromoteMargin
+				score *= e.cfg.PromoteMargin
 			}
-			return e.heat[i]
+			cand = append(cand, keyed{score, e.jit[i], i})
 		}
-		e.hotterFirst(order, score)
+		e.cand = cand
 		capLeft := e.cfg.Hierarchy.Capacity(l)
-		for _, i := range order {
-			pages := e.ExtentRegion(i).Pages
+		// The fill takes at most capLeft/ExtentPages full extents plus the
+		// short last one: only that prefix needs sorting.
+		k := int(min(capLeft/e.cfg.ExtentPages+1, int64(len(cand))))
+		for _, c := range hottest(cand, k) {
+			pages := e.ExtentRegion(c.i).Pages
 			if pages > capLeft {
 				break
 			}
-			// Cold extents never deserve a bounded tier: zero heat stays
-			// at the bottom so empty capacity is not filled with garbage.
-			if e.heat[i] <= 0 {
-				break
-			}
-			desired[i] = uint8(l)
-			assigned[i] = true
+			desired[c.i] = uint8(l)
+			assigned[c.i] = true
 			capLeft -= pages
 		}
 	}

@@ -1,6 +1,9 @@
 package migrate
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"toss/internal/guest"
@@ -390,4 +393,336 @@ func TestPolicyNames(t *testing.T) {
 	if _, ok := PolicyByName("bogus"); ok {
 		t.Fatal("bogus policy resolved")
 	}
+}
+
+// TestTickMatchesReference drives Tick and the reference engine below
+// through the same random small runs and demands identical Log, Stats,
+// Levels and Occupancy after every Tick: 1-40 extents with a short last
+// extent, absent and one-extent tiers, all four policies, 0-2 prefetch
+// extents, and heat drawn from a handful of values so the packing and
+// victim orders lean on the tie-breaks.
+func TestTickMatchesReference(t *testing.T) {
+	const ext = 4 // pages per extent
+	rng := rand.New(rand.NewSource(7))
+	heats := []float64{0, 1, 1, 2, 3, 8}
+	var total Stats
+	for run := 0; run < 600; run++ {
+		nExt := 1 + rng.Intn(40)
+		capacity := func() int64 {
+			switch rng.Intn(4) {
+			case 0:
+				return 0 // absent tier
+			case 1:
+				return ext // one extent
+			}
+			return int64(rng.Intn(nExt+1)*ext + rng.Intn(ext))
+		}
+		h := testHierarchy(capacity(), capacity(), capacity())
+		if rng.Intn(2) == 0 {
+			// 64 KiB/s: a 16 KiB extent takes 250 ms, so the epoch's
+			// bandwidth budget cuts Ticks short.
+			for l := range h.Tiers {
+				h.Tiers[l].PromoteBytesPerSec, h.Tiers[l].DemoteBytesPerSec = 64<<10, 64<<10
+			}
+		}
+		cfg := DefaultConfig(h)
+		cfg.Policy = Policies()[rng.Intn(4)]
+		cfg.ExtentPages = ext
+		cfg.PrefetchExtents = rng.Intn(3)
+		cfg.MinResidencyEpochs = rng.Intn(3)
+		cfg.PromoteMargin = []float64{1, 1.5}[rng.Intn(2)]
+		cfg.Seed = int64(run)
+		pages := int64(nExt*ext - rng.Intn(ext))
+		got, err := New(cfg, pages)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := New(cfg, pages)
+		for i := 0; i < nExt; i++ {
+			if lv := rng.Intn(h.Levels()); lv != h.Bottom() {
+				got.SetLevel(got.ExtentRegion(i), lv)
+				want.SetLevel(want.ExtentRegion(i), lv)
+			}
+		}
+		for epoch := 1; epoch <= 12; epoch++ {
+			for k := rng.Intn(nExt + 1); k > 0; k-- {
+				i, heat := rng.Intn(nExt), heats[rng.Intn(len(heats))]
+				got.TouchExtent(i, heat)
+				want.TouchExtent(i, heat)
+			}
+			now := simtime.Duration(epoch) * cfg.Epoch
+			got.Tick(now)
+			refTick(want, now)
+			if !slices.Equal(got.Log(), want.Log()) || got.Stats() != want.Stats() ||
+				!slices.Equal(got.Levels(), want.Levels()) || !slices.Equal(got.Occupancy(), want.Occupancy()) {
+				t.Fatalf("run %d (%d extents, %v, prefetch %d, capacities %d/%d/%d) epoch %d diverged:\n"+
+					"got  %v\n     %+v\nwant %v\n     %+v",
+					run, nExt, cfg.Policy, cfg.PrefetchExtents, h.Capacity(0), h.Capacity(1), h.Capacity(2),
+					epoch, got.Log(), got.Stats(), want.Log(), want.Stats())
+			}
+		}
+		s := got.Stats()
+		total.Promotions += s.Promotions
+		total.Demotions += s.Demotions
+		total.Evictions += s.Evictions
+		total.Prefetches += s.Prefetches
+	}
+	if total.Promotions == 0 || total.Demotions == 0 || total.Evictions == 0 || total.Prefetches == 0 {
+		t.Fatalf("the runs miss a move kind: %+v", total)
+	}
+}
+
+// TestHottestMatchesSort: the partial selection's prefix equals the prefix
+// of a full sort for every k, with keys and jitters drawn from so few
+// values that the index tie-break decides many pairs.
+func TestHottestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for run := 0; run < 2000; run++ {
+		n := rng.Intn(120)
+		s := make([]keyed, n)
+		for i := range s {
+			s[i] = keyed{float64(rng.Intn(4)), uint64(rng.Intn(3)), rng.Intn(n)}
+		}
+		want := slices.Clone(s)
+		slices.SortFunc(want, hotter)
+		k := rng.Intn(n + 3)
+		if got := hottest(slices.Clone(s), k); !slices.Equal(got, want[:min(k, n)]) {
+			t.Fatalf("n %d k %d: hottest %v, sorted prefix %v", n, k, got, want[:min(k, n)])
+		}
+	}
+}
+
+// The reference engine: Tick as it was before the sort-once rewrite —
+// sort.Slice re-hashing the jitter on every comparison, every cold extent
+// in every packing sort, and a full scan of all extents for each eviction
+// victim. It is slow and obviously correct; TestTickMatchesReference drives
+// it and the real Tick through the same runs and demands identical results.
+
+// refHotterFirst orders extents by (heat desc, jitter, index) given a heat
+// vector.
+func refHotterFirst(e *Engine, order []int, heatOf func(int) float64) {
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		hi, hj := heatOf(i), heatOf(j)
+		if hi != hj {
+			return hi > hj
+		}
+		ji, jj := e.jitter(i), e.jitter(j)
+		if ji != jj {
+			return ji < jj
+		}
+		return i < j
+	})
+}
+
+func refTick(e *Engine, now simtime.Duration) []Event {
+	e.epoch++
+	e.stats.Epochs++
+	for i := range e.heat {
+		e.heat[i] = e.cfg.Decay*e.heat[i] + e.pending[i]
+		e.pending[i] = 0
+	}
+	if e.cfg.Policy == PolicyStatic {
+		return nil
+	}
+
+	oracle := e.cfg.Policy == PolicyOracle
+	desired := refPackDesired(e, oracle)
+
+	logStart := len(e.log)
+	var order []int
+	// The daemon's schedule cursor: migrations serialize on the daemon and
+	// this epoch may schedule at most one epoch of moving time.
+	cursor := e.busyUntil
+	if cursor < now {
+		cursor = now
+	}
+	deadline := now + e.cfg.Epoch
+	budgetLeft := func() bool { return oracle || cursor < deadline }
+
+	exec := func(i, to int, reason Reason) {
+		from := int(e.level[i])
+		if from == to {
+			return
+		}
+		region := e.ExtentRegion(i)
+		cost := e.cfg.Hierarchy.MoveCost(from, to, region.Pages)
+		at, done := cursor, cursor
+		if !oracle {
+			done = cursor + cost
+			cursor = done
+			e.readyAt[i] = done
+			e.stats.BusyTime += cost
+		}
+		e.moveOccupancy(i, to)
+		e.level[i] = uint8(to)
+		e.movedAt[i] = e.epoch
+		e.stats.MovedPages += region.Pages
+		switch reason {
+		case ReasonPromote:
+			e.stats.Promotions++
+		case ReasonDemote:
+			e.stats.Demotions++
+		case ReasonEvict:
+			e.stats.Evictions++
+		case ReasonPrefetch:
+			e.stats.Prefetches++
+		}
+		e.log = append(e.log, Event{
+			At: at, Done: done, Extent: i, Region: region,
+			From: from, To: to, Reason: reason, Heat: e.heat[i],
+		})
+	}
+
+	// roomAt finds the highest level in [want, bottom] with room for pages,
+	// starting at the wanted level and cascading down — "demotion under a
+	// full lower tier" lands one level deeper (the bottom is unbounded).
+	roomAt := func(want int, pages int64) int {
+		for l := want; l < e.cfg.Hierarchy.Levels(); l++ {
+			if e.occupancy[l]+pages <= e.cfg.Hierarchy.Capacity(l) {
+				return l
+			}
+		}
+		return e.cfg.Hierarchy.Bottom()
+	}
+
+	cooled := func(i int) bool {
+		return oracle || int(e.epoch-e.movedAt[i]) >= e.cfg.MinResidencyEpochs
+	}
+
+	// Background demotion (full-migration and oracle): drain cold extents
+	// down, coldest first, so reclamation frees capacity before promotions
+	// need it.
+	if e.cfg.Policy == PolicyFull || oracle {
+		order = order[:0]
+		for i := 0; i < e.nExt; i++ {
+			if int(desired[i]) > int(e.level[i]) && cooled(i) {
+				order = append(order, i)
+			}
+		}
+		refHotterFirst(e, order, func(i int) float64 { return -e.heat[i] }) // coldest first
+		for _, i := range order {
+			if !budgetLeft() {
+				break
+			}
+			exec(i, roomAt(int(desired[i]), e.ExtentRegion(i).Pages), ReasonDemote)
+		}
+	}
+
+	// Promotions, hottest first. A full target tier evicts its coldest
+	// incumbent one level down (cascading past full tiers) to make room.
+	order = order[:0]
+	for i := 0; i < e.nExt; i++ {
+		if int(desired[i]) < int(e.level[i]) && cooled(i) {
+			order = append(order, i)
+		}
+	}
+	refHotterFirst(e, order, func(i int) float64 { return e.heat[i] })
+	var promoted []int
+	for _, i := range order {
+		if !budgetLeft() {
+			break
+		}
+		target := int(desired[i])
+		if !refMakeRoom(e, target, e.ExtentRegion(i).Pages, exec, roomAt, budgetLeft) {
+			continue
+		}
+		exec(i, target, ReasonPromote)
+		promoted = append(promoted, i)
+	}
+
+	// Prefetch-on-promote: pull each promoted extent's address-space
+	// successors to the same level — sequential access means they are the
+	// likely-next pages.
+	if e.cfg.PrefetchExtents > 0 {
+		for _, i := range promoted {
+			target := int(e.level[i])
+			for k := 1; k <= e.cfg.PrefetchExtents; k++ {
+				j := i + k
+				if j >= e.nExt || !budgetLeft() {
+					break
+				}
+				if int(e.level[j]) <= target || e.movedAt[j] == e.epoch {
+					continue
+				}
+				if !refMakeRoom(e, target, e.ExtentRegion(j).Pages, exec, roomAt, budgetLeft) {
+					break
+				}
+				exec(j, target, ReasonPrefetch)
+			}
+		}
+	}
+
+	if !oracle && cursor > e.busyUntil {
+		e.busyUntil = cursor
+	}
+	return e.log[logStart:]
+}
+
+func refMakeRoom(e *Engine, target int, pages int64,
+	exec func(i, to int, reason Reason), roomAt func(int, int64) int, budgetLeft func() bool) bool {
+	if e.cfg.Policy == PolicyStatic {
+		return false
+	}
+	for e.occupancy[target]+pages > e.cfg.Hierarchy.Capacity(target) {
+		if !budgetLeft() {
+			return false
+		}
+		victim := -1
+		for i := 0; i < e.nExt; i++ {
+			if int(e.level[i]) != target || e.movedAt[i] == e.epoch {
+				continue
+			}
+			if victim < 0 || e.heat[i] < e.heat[victim] ||
+				(e.heat[i] == e.heat[victim] && e.jitter(i) < e.jitter(victim)) {
+				victim = i
+			}
+		}
+		if victim < 0 {
+			return false // nothing evictable (everything moved this epoch)
+		}
+		exec(victim, roomAt(target+1, e.ExtentRegion(victim).Pages), ReasonEvict)
+	}
+	return true
+}
+
+func refPackDesired(e *Engine, oracle bool) []uint8 {
+	desired := make([]uint8, e.nExt)
+	bottom := uint8(e.cfg.Hierarchy.Bottom())
+	for i := range desired {
+		desired[i] = bottom
+	}
+	assigned := make([]bool, e.nExt)
+	order := make([]int, e.nExt)
+	for l := 0; l < e.cfg.Hierarchy.Levels()-1; l++ {
+		order = order[:0]
+		for i := 0; i < e.nExt; i++ {
+			if !assigned[i] {
+				order = append(order, i)
+			}
+		}
+		score := func(i int) float64 {
+			if !oracle && int(e.level[i]) == l {
+				return e.heat[i] * e.cfg.PromoteMargin
+			}
+			return e.heat[i]
+		}
+		refHotterFirst(e, order, score)
+		capLeft := e.cfg.Hierarchy.Capacity(l)
+		for _, i := range order {
+			pages := e.ExtentRegion(i).Pages
+			if pages > capLeft {
+				break
+			}
+			// Cold extents never deserve a bounded tier: zero heat stays
+			// at the bottom so empty capacity is not filled with garbage.
+			if e.heat[i] <= 0 {
+				break
+			}
+			desired[i] = uint8(l)
+			assigned[i] = true
+			capLeft -= pages
+		}
+	}
+	return desired
 }

@@ -22,11 +22,12 @@ echo "== micro-benchmarks ==" >&2
 # cluster_allocs_per_invocation from its line. MigrationEngine drives the
 # N-tier migration daemon over a drifting working set; benchjson hoists its
 # migrations/s metric into the suite block as migrations_per_second.
+# MigrationTick times one Tick of a 4096-extent engine (ext11 scale).
 # AlertEngine drives the virtual-time alert engine over a mixed rule set;
 # benchjson hoists its evals/s metric as alerts_evaluations_per_second.
 # RestoreRun times restore-then-replay per restore mode (the residency
 # bitset kernels); Profile times one DAMON profile of a Table I invocation.
-go test -run='^$' -bench='TraceReplay|RestoreRun|TraceCompile|Profile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|AlertEngine' -benchmem \
+go test -run='^$' -bench='TraceReplay|RestoreRun|TraceCompile|Profile|BuildPagerank|SuiteSubset|ClusterRun|MigrationEngine|MigrationTick|AlertEngine' -benchmem \
     ./internal/microvm/ ./internal/damon/ ./internal/workload/ ./internal/experiments/ ./internal/cluster/ ./internal/migrate/ ./internal/insight/ | tee "$tmp/bench.txt" >&2
 
 echo "== suite wall-clock ==" >&2
